@@ -1241,6 +1241,8 @@ fn precompute_stream(
             .expect("reference tenants open");
     }
     let mut learned: Vec<Option<InstanceId>> = vec![None; stream.instances.len()];
+    let (mut enc, mut dec) = (wire::FrameEncoder::new(), wire::FrameDecoder::new());
+    let mut frame = Vec::new();
     stream
         .requests
         .iter()
@@ -1249,14 +1251,20 @@ fn precompute_stream(
             let first_contact = learned[r.instance].is_none()
                 && matches!(r.op, StreamOp::Solve { .. } | StreamOp::Frontier);
             let req = stream_request(&r.op, r.instance, 0, learned[r.instance], tree, costs);
-            let frame = wire::request_frame(0, &req);
+            frame.clear();
+            enc.put_request(&mut frame, 0, &req);
+            dec.push(&frame);
+            let Some(wire::Decoded::Frame(f)) = dec.next(wire::DEFAULT_MAX_FRAME_LEN) else {
+                unreachable!("a freshly encoded request is one whole frame");
+            };
+            let (kind, payload) = (f.kind, f.payload.to_vec());
             let reply = service.submit(req).wait().expect("reference answers");
             if first_contact {
                 learned[r.instance] = reply.instance_id();
             }
             PreStep {
-                kind: frame.kind,
-                payload: frame.payload,
+                kind,
+                payload,
                 delta_instance: matches!(r.op, StreamOp::Delta { .. }).then_some(r.instance),
                 first_contact,
                 expected: wire::reply_json(&reply),

@@ -23,9 +23,6 @@
 //!   the cached frontiers **byte-identically** to a fresh
 //!   [`Expanded`](hsa_assign::Expanded)`::solve` — same cut, same
 //!   objective, same stats semantics.
-//! * [`Engine::solve_batch_with`] runs any [`Solver`] instead, drawing
-//!   reusable [`hsa_graph::SolveScratch`] workspaces from a pool so steady-state
-//!   solving stays allocation-free.
 //! * [`Engine::frontier`] exposes the full **λ-frontier** — the
 //!   piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1] with
 //!   exact rational breakpoints — so a λ-sweep costs one envelope pass
@@ -75,7 +72,7 @@
 
 use hsa_assign::{
     lambda_frontier_with, solve_with_frontiers, AssignError, ExpandedConfig, FrontierSet,
-    LambdaFrontier, Prepared, Solution, SolveStats, Solver,
+    LambdaFrontier, Prepared, Solution, SolveStats,
 };
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree};
@@ -298,8 +295,6 @@ pub struct Engine {
     cache: cache::ShardedCache,
     /// Persistent channel-fed workers for batch fan-out.
     pool: WorkerPool,
-    /// Reusable per-worker solver workspaces.
-    scratch: Arc<pool::ScratchPool>,
     stats: EngineCounters,
 }
 
@@ -311,7 +306,6 @@ impl Engine {
             cfg,
             cache: cache::ShardedCache::new(),
             pool: WorkerPool::new(cfg.threads),
-            scratch: Arc::new(pool::ScratchPool::new()),
             stats: EngineCounters::default(),
         }
     }
@@ -419,38 +413,6 @@ impl Engine {
         results
     }
 
-    /// Answers a batch of queries with an arbitrary [`Solver`], drawing
-    /// reusable [`hsa_graph::SolveScratch`] workspaces from the engine's pool (one per
-    /// in-flight query, recycled across the batch). The solver is shared
-    /// across workers, so it arrives as an `Arc`.
-    pub fn solve_batch_with(
-        &self,
-        queries: &[(InstanceId, Lambda)],
-        solver: Arc<dyn Solver + Send + Sync>,
-    ) -> Vec<Result<Solution, EngineError>> {
-        let items: Vec<(Result<Arc<CachedInstance>, EngineError>, Lambda)> = queries
-            .iter()
-            .map(|&(id, lambda)| (self.lookup(id), lambda))
-            .collect();
-        let scratch = Arc::clone(&self.scratch);
-        let job = move |(entry, lambda): (Result<Arc<CachedInstance>, EngineError>, Lambda)| {
-            let entry = entry?;
-            let mut ws = scratch.acquire();
-            let out = solver
-                .solve_in(&entry.prepared, lambda, &mut ws)
-                .map_err(EngineError::from);
-            scratch.release(ws);
-            out
-        };
-        let results = if self.pool.size() <= 1 || items.len() <= 1 {
-            items.into_iter().map(job).collect()
-        } else {
-            self.pool.run_batch(items, job)
-        };
-        self.record(&results);
-        results
-    }
-
     /// The λ-frontier of a cached instance: every optimal cut over
     /// λ ∈ [0, 1] as a piecewise-linear lower envelope with exact rational
     /// breakpoints. One pass over the cached frontiers answers any number
@@ -515,7 +477,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsa_assign::{Expanded, PaperSsb};
+    use hsa_assign::{Expanded, Solver};
     use hsa_workloads::paper_scenario;
 
     #[test]
@@ -586,23 +548,6 @@ mod tests {
             assert_eq!(got.cut, want.cut);
         }
         assert_eq!(engine.stats().queries, 9);
-    }
-
-    #[test]
-    fn custom_solver_batch_uses_the_scratch_pool() {
-        let sc = paper_scenario();
-        let engine = Engine::new(EngineConfig::default());
-        let id = engine.prepare(&sc.tree, &sc.costs).unwrap();
-        let queries = vec![(id, Lambda::HALF); 4];
-        let batch = engine.solve_batch_with(&queries, Arc::new(PaperSsb::default()));
-        let prep = Prepared::new(&sc.tree, &sc.costs).unwrap();
-        let want = PaperSsb::default().solve(&prep, Lambda::HALF).unwrap();
-        for got in &batch {
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.objective, want.objective);
-            assert_eq!(got.cut, want.cut);
-        }
-        assert!(engine.stats().solve.iterations >= 4);
     }
 
     #[test]

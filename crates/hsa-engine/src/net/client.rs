@@ -146,9 +146,9 @@ impl Client {
     }
 
     /// Queues a request whose payload bytes are already encoded (e.g.
-    /// cached off [`wire::request_frame`]) under a fresh correlation id —
-    /// a hot client replaying identical requests skips re-printing the
-    /// same JSON per send. `tenant` and the returned correlation id
+    /// cached off a [`FrameEncoder::put_request`] frame) under a fresh
+    /// correlation id — a hot client replaying identical requests skips
+    /// re-printing the same JSON per send. `tenant` and the returned correlation id
     /// travel in the frame header, so one cached payload serves any
     /// tenant namespace.
     pub fn send_encoded(&mut self, kind: u8, tenant: u64, payload: &[u8]) -> u64 {

@@ -24,13 +24,17 @@
 //! schema); this module only maps between those enums and frames. Unknown
 //! kind bytes and undecodable payloads answer explicit error frames
 //! ([`WireError`]), never a panic or a silent drop.
+//!
+//! There is one encoder and one decoder: [`FrameEncoder`] (bottoming out
+//! in [`put_raw_frame`]) prints every frame, and [`FrameDecoder`]
+//! reassembles every frame, whether the stream is a nonblocking reactor
+//! socket or a blocking client. Byte identity on the wire holds by
+//! construction, because no second printer exists to disagree.
 
 use crate::service::{Reply, Request, ServiceError, TenantId};
 use crate::session::SessionStats;
 use crate::{EngineError, InstanceId};
-use bytes::{BufMut, Bytes, BytesMut};
-use hsa_graph::Lambda;
-use hsa_tree::{CostModel, CruTree, Delta};
+use hsa_tree::{CostModel, CruTree};
 use serde::{value, DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::io::{self, Read};
@@ -86,8 +90,7 @@ pub mod kind {
 }
 
 /// A borrowed view of one frame inside a [`FrameDecoder`]'s buffer: the
-/// fixed header plus the payload *in place* — the reactor's zero-copy
-/// sibling of [`Frame`] (no per-frame payload `Vec`).
+/// fixed header plus the payload *in place* (no per-frame payload `Vec`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameRef<'a> {
     /// Protocol version byte.
@@ -103,7 +106,8 @@ pub struct FrameRef<'a> {
 }
 
 impl FrameRef<'_> {
-    /// An owned [`Frame`] (copies the payload) — for tests and cold paths.
+    /// An owned [`Frame`] (copies the payload) — the client's received
+    /// value, which outlives the decoder's next refill.
     pub fn to_frame(&self) -> Frame {
         Frame {
             version: self.version,
@@ -115,7 +119,8 @@ impl FrameRef<'_> {
     }
 }
 
-/// One decoded frame: the fixed header plus the raw payload bytes.
+/// One received frame, owned: the fixed header plus the raw payload
+/// bytes ([`FrameRef::to_frame`], [`crate::net::Client::recv_raw`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// Protocol version byte.
@@ -128,80 +133,6 @@ pub struct Frame {
     pub corr: u64,
     /// Kind-specific JSON body (may be empty).
     pub payload: Vec<u8>,
-}
-
-impl Frame {
-    fn new(kind: u8, tenant: u64, corr: u64, payload: Vec<u8>) -> Frame {
-        Frame {
-            version: PROTOCOL_VERSION,
-            kind,
-            tenant,
-            corr,
-            payload,
-        }
-    }
-
-    /// Appends this frame (length prefix + header + payload) to `out`.
-    pub fn put(&self, out: &mut BytesMut) {
-        out.put_u32((HEADER_LEN + self.payload.len()) as u32);
-        out.put_u8(self.version);
-        out.put_u8(self.kind);
-        out.put_u64(self.tenant);
-        out.put_u64(self.corr);
-        out.put_slice(&self.payload);
-    }
-
-    /// This frame as freshly-encoded wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(4 + HEADER_LEN + self.payload.len());
-        self.put(&mut out);
-        out.freeze()
-    }
-}
-
-/// The outcome of reading one frame off a blocking stream.
-#[derive(Debug)]
-pub enum ReadFrame {
-    /// A complete frame (its version/kind/payload still unvalidated).
-    Frame(Frame),
-    /// Clean end-of-stream at a frame boundary.
-    Eof,
-    /// The length prefix itself is unusable; the stream cannot be
-    /// re-synchronised. Carries `(len, max)`.
-    Oversized(u32, usize),
-    /// The length prefix is shorter than the fixed header.
-    Undersized(u32),
-}
-
-/// Reads exactly one length-prefixed frame. Truncation mid-frame surfaces
-/// as the underlying [`io::ErrorKind::UnexpectedEof`]; EOF *between*
-/// frames is the clean [`ReadFrame::Eof`].
-pub fn read_frame(r: &mut impl Read, max_frame_len: usize) -> io::Result<ReadFrame> {
-    let mut len_buf = [0u8; 4];
-    // A clean EOF before the first length byte ends the stream; anything
-    // shorter than the full prefix is a truncated frame.
-    match r.read(&mut len_buf)? {
-        0 => return Ok(ReadFrame::Eof),
-        n => r.read_exact(&mut len_buf[n..])?,
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if (len as usize) < HEADER_LEN {
-        return Ok(ReadFrame::Undersized(len));
-    }
-    if len as usize > max_frame_len {
-        return Ok(ReadFrame::Oversized(len, max_frame_len));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let mut payload = vec![0u8; len as usize - HEADER_LEN];
-    r.read_exact(&mut payload)?;
-    Ok(ReadFrame::Frame(Frame {
-        version: header[0],
-        kind: header[1],
-        tenant: u64::from_be_bytes(header[2..10].try_into().expect("8 bytes")),
-        corr: u64::from_be_bytes(header[10..18].try_into().expect("8 bytes")),
-        payload,
-    }))
 }
 
 /// What [`FrameDecoder::next`] found at the head of the buffer.
@@ -437,17 +368,8 @@ fn obj_value(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn json_bytes(v: &Value) -> Vec<u8> {
-    serde_json::to_string(v)
-        .expect("value-tree JSON printing is infallible")
-        .into_bytes()
-}
-
 /// The payload body of a request, plus its kind byte and header tenant.
-/// The single source of payload truth: both the allocating [`Frame`]
-/// constructors and the buffer-reusing [`FrameEncoder`] print exactly
-/// this value, so the two paths are byte-identical by construction.
-fn request_body(req: &Request) -> (u8, u64, Option<Value>) {
+fn request_body(req: &Request) -> (u8, u64, Value) {
     match req {
         Request::Solve {
             tree,
@@ -456,32 +378,29 @@ fn request_body(req: &Request) -> (u8, u64, Option<Value>) {
         } => (
             kind::SOLVE,
             0,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("tree", tree.to_value()),
                 ("costs", costs.to_value()),
                 ("lambda", lambda.to_value()),
-            ])),
+            ]),
         ),
         Request::SolveById { id, lambda } => (
             kind::SOLVE_BY_ID,
             0,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("id", id.raw().to_value()),
                 ("lambda", lambda.to_value()),
-            ])),
+            ]),
         ),
         Request::Frontier { tree, costs } => (
             kind::FRONTIER,
             0,
-            Some(obj_value(vec![
-                ("tree", tree.to_value()),
-                ("costs", costs.to_value()),
-            ])),
+            obj_value(vec![("tree", tree.to_value()), ("costs", costs.to_value())]),
         ),
         Request::FrontierById { id } => (
             kind::FRONTIER_BY_ID,
             0,
-            Some(obj_value(vec![("id", id.raw().to_value())])),
+            obj_value(vec![("id", id.raw().to_value())]),
         ),
         Request::Delta {
             tenant,
@@ -490,10 +409,10 @@ fn request_body(req: &Request) -> (u8, u64, Option<Value>) {
         } => (
             kind::DELTA,
             tenant.0,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("delta", delta.to_value()),
                 ("lambda", lambda.to_value()),
-            ])),
+            ]),
         ),
         Request::SolveAnytime {
             tree,
@@ -503,84 +422,70 @@ fn request_body(req: &Request) -> (u8, u64, Option<Value>) {
         } => (
             kind::SOLVE_ANYTIME,
             0,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("tree", tree.to_value()),
                 ("costs", costs.to_value()),
                 ("lambda", lambda.to_value()),
                 ("budget_ms", budget_ms.to_value()),
-            ])),
+            ]),
         ),
     }
 }
 
 /// The payload body of a reply, plus its kind byte.
-fn reply_body(reply: &Reply) -> (u8, Option<Value>) {
+fn reply_body(reply: &Reply) -> (u8, Value) {
     match reply {
         Reply::Solution { id, solution } => (
             kind::SOLUTION,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("id", id.raw().to_value()),
                 ("solution", solution.to_value()),
-            ])),
+            ]),
         ),
         Reply::Frontier { id, frontier } => (
             kind::FRONTIER_REPLY,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("id", id.raw().to_value()),
                 ("frontier", frontier.to_value()),
-            ])),
+            ]),
         ),
         Reply::Applied { outcome, solution } => (
             kind::APPLIED,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("outcome", outcome.to_value()),
                 ("solution", solution.to_value()),
-            ])),
+            ]),
         ),
         Reply::Anytime { id, answer } => (
             kind::ANYTIME,
-            Some(obj_value(vec![
+            obj_value(vec![
                 ("id", id.raw().to_value()),
                 ("answer", answer.to_value()),
-            ])),
+            ]),
         ),
     }
-}
-
-fn hello_ack_body(max_frame_len: usize) -> Value {
-    obj_value(vec![("max_frame_len", (max_frame_len as u64).to_value())])
-}
-
-fn open_tenant_body(tree: &CruTree, costs: &CostModel) -> Value {
-    obj_value(vec![("tree", tree.to_value()), ("costs", costs.to_value())])
-}
-
-fn tenant_closed_body(stats: &SessionStats) -> Value {
-    obj_value(vec![("stats", stats.to_value())])
 }
 
 /// An encoder with reusable scratch: frames go **appended** into a
 /// caller-owned `Vec<u8>` (the per-connection write queue), the payload
 /// JSON is printed into one retained `String` — steady state allocates
 /// nothing per frame, and pipelined replies coalesce in the output buffer
-/// for a single `write(2)`. The bytes are identical to the allocating
-/// [`Frame`] path (same body builders, same printer).
+/// for a single `write(2)`.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     json: String,
 }
 
 /// Appends one frame whose payload bytes are already encoded: length
-/// prefix + header written fresh, `payload` copied verbatim. This is the
-/// hit path of the reactor's encode memo and the primitive every
-/// [`FrameEncoder`] append bottoms out in.
+/// prefix + header written fresh (big-endian), `payload` copied verbatim.
+/// This is the hit path of the reactor's encode memo and the primitive
+/// every [`FrameEncoder`] append bottoms out in.
 pub fn put_raw_frame(out: &mut Vec<u8>, kind_: u8, tenant: u64, corr: u64, payload: &[u8]) {
-    out.put_u32((HEADER_LEN + payload.len()) as u32);
-    out.put_u8(PROTOCOL_VERSION);
-    out.put_u8(kind_);
-    out.put_u64(tenant);
-    out.put_u64(corr);
-    out.put_slice(payload);
+    out.extend_from_slice(&((HEADER_LEN + payload.len()) as u32).to_be_bytes());
+    out.extend_from_slice(&[PROTOCOL_VERSION, kind_]);
+    out.extend_from_slice(&tenant.to_be_bytes());
+    out.extend_from_slice(&corr.to_be_bytes());
+    out.extend_from_slice(payload);
 }
 
 impl FrameEncoder {
@@ -605,17 +510,19 @@ impl FrameEncoder {
         put_raw_frame(out, kind, tenant, corr, self.json.as_bytes());
     }
 
-    /// Appends a request frame (see [`request_frame`]).
+    /// Appends a request frame. The tenant header field is taken from the
+    /// request itself ([`Request::Delta`]); other kinds travel with
+    /// tenant 0.
     pub fn put_request(&mut self, out: &mut Vec<u8>, corr: u64, req: &Request) {
         let (kind, tenant, body) = request_body(req);
-        self.put_frame(out, kind, tenant, corr, body.as_ref());
+        self.put_frame(out, kind, tenant, corr, Some(&body));
     }
 
-    /// Appends a reply frame (see [`reply_frame`]), returning its kind and
-    /// the byte range the payload occupies inside `out` — callers that
-    /// memoise encoded payloads (the reactor, for deterministic
-    /// id-addressed answers) copy the range out and replay it later via
-    /// [`put_raw_frame`], byte-identical by construction.
+    /// Appends a reply frame, returning its kind and the byte range the
+    /// payload occupies inside `out` — callers that memoise encoded
+    /// payloads (the reactor, for deterministic id-addressed answers) copy
+    /// the range out and replay it later via [`put_raw_frame`],
+    /// byte-identical by construction.
     pub fn put_reply(
         &mut self,
         out: &mut Vec<u8>,
@@ -624,11 +531,11 @@ impl FrameEncoder {
         reply: &Reply,
     ) -> (u8, std::ops::Range<usize>) {
         let (kind, body) = reply_body(reply);
-        self.put_frame(out, kind, tenant, corr, body.as_ref());
+        self.put_frame(out, kind, tenant, corr, Some(&body));
         (kind, out.len() - self.json.len()..out.len())
     }
 
-    /// Appends an error frame (see [`error_frame`]).
+    /// Appends an error frame.
     pub fn put_error(&mut self, out: &mut Vec<u8>, corr: u64, tenant: u64, err: &WireError) {
         self.put_frame(out, kind::ERROR, tenant, corr, Some(&err.to_value()));
     }
@@ -638,18 +545,14 @@ impl FrameEncoder {
         self.put_frame(out, kind::HELLO, 0, corr, None);
     }
 
-    /// Appends the handshake answer.
+    /// Appends the handshake answer, carrying the server's frame cap.
     pub fn put_hello_ack(&mut self, out: &mut Vec<u8>, corr: u64, max_frame_len: usize) {
-        self.put_frame(
-            out,
-            kind::HELLO_ACK,
-            0,
-            corr,
-            Some(&hello_ack_body(max_frame_len)),
-        );
+        let body = obj_value(vec![("max_frame_len", (max_frame_len as u64).to_value())]);
+        self.put_frame(out, kind::HELLO_ACK, 0, corr, Some(&body));
     }
 
-    /// Appends an open-tenant frame.
+    /// Appends an open-tenant frame (instance in the body, tenant in the
+    /// header).
     pub fn put_open_tenant(
         &mut self,
         out: &mut Vec<u8>,
@@ -658,13 +561,8 @@ impl FrameEncoder {
         tree: &CruTree,
         costs: &CostModel,
     ) {
-        self.put_frame(
-            out,
-            kind::OPEN_TENANT,
-            tenant.0,
-            corr,
-            Some(&open_tenant_body(tree, costs)),
-        );
+        let body = obj_value(vec![("tree", tree.to_value()), ("costs", costs.to_value())]);
+        self.put_frame(out, kind::OPEN_TENANT, tenant.0, corr, Some(&body));
     }
 
     /// Appends a close-tenant frame.
@@ -677,7 +575,8 @@ impl FrameEncoder {
         self.put_frame(out, kind::TENANT_OPENED, tenant.0, corr, None);
     }
 
-    /// Appends the tenant-closed acknowledgement.
+    /// Appends the tenant-closed acknowledgement, carrying the session's
+    /// counters.
     pub fn put_tenant_closed(
         &mut self,
         out: &mut Vec<u8>,
@@ -685,15 +584,21 @@ impl FrameEncoder {
         tenant: TenantId,
         stats: &SessionStats,
     ) {
-        self.put_frame(
-            out,
-            kind::TENANT_CLOSED,
-            tenant.0,
-            corr,
-            Some(&tenant_closed_body(stats)),
-        );
+        let body = obj_value(vec![("stats", stats.to_value())]);
+        self.put_frame(out, kind::TENANT_CLOSED, tenant.0, corr, Some(&body));
     }
 }
+
+/// The canonical wire JSON of a reply — what t13's byte-identity check
+/// compares between a loopback answer and an in-process one.
+pub fn reply_json(reply: &Reply) -> String {
+    let mut out = Vec::new();
+    let (_, payload) = FrameEncoder::new().put_reply(&mut out, 0, 0, reply);
+    String::from_utf8(out.split_off(payload.start)).expect("wire JSON is UTF-8")
+}
+
+/// A decoded JSON object body: its `(key, value)` entries.
+type Fields<'a> = &'a [(String, Value)];
 
 fn body(payload: &[u8]) -> Result<Value, WireError> {
     let text = std::str::from_utf8(payload)
@@ -701,231 +606,124 @@ fn body(payload: &[u8]) -> Result<Value, WireError> {
     serde_json::from_str::<Value>(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-fn field<T: Deserialize>(m: &[(String, Value)], name: &str) -> Result<T, WireError> {
+fn field<T: Deserialize>(m: Fields<'_>, name: &str) -> Result<T, WireError> {
     let v = value::field(m, name).map_err(|e| WireError::Malformed(e.to_string()))?;
     T::from_value(v).map_err(|e: DeError| WireError::Malformed(format!("{name}: {e}")))
 }
 
-fn as_map(v: &Value) -> Result<&[(String, Value)], WireError> {
+fn as_map(v: &Value) -> Result<Fields<'_>, WireError> {
     v.as_map()
         .ok_or_else(|| WireError::Malformed("body is not a JSON object".to_string()))
 }
 
-/// Encodes a request into its frame. The tenant header field is taken
-/// from the request itself ([`Request::Delta`]); other kinds travel with
-/// tenant 0.
-pub fn request_frame(corr: u64, req: &Request) -> Frame {
-    let (kind, tenant, body) = request_body(req);
-    Frame::new(
-        kind,
-        tenant,
-        corr,
-        body.as_ref().map(json_bytes).unwrap_or_default(),
-    )
-}
-
-/// The handshake frame.
-pub fn hello_frame(corr: u64) -> Frame {
-    Frame::new(kind::HELLO, 0, corr, Vec::new())
-}
-
-/// The handshake answer.
-pub fn hello_ack_frame(corr: u64, max_frame_len: usize) -> Frame {
-    Frame::new(
-        kind::HELLO_ACK,
-        0,
-        corr,
-        json_bytes(&hello_ack_body(max_frame_len)),
-    )
-}
-
-/// An open-tenant frame (instance in the body, tenant in the header).
-pub fn open_tenant_frame(corr: u64, tenant: TenantId, tree: &CruTree, costs: &CostModel) -> Frame {
-    Frame::new(
-        kind::OPEN_TENANT,
-        tenant.0,
-        corr,
-        json_bytes(&open_tenant_body(tree, costs)),
-    )
-}
-
-/// A close-tenant frame.
-pub fn close_tenant_frame(corr: u64, tenant: TenantId) -> Frame {
-    Frame::new(kind::CLOSE_TENANT, tenant.0, corr, Vec::new())
-}
-
-/// The tenant-opened acknowledgement.
-pub fn tenant_opened_frame(corr: u64, tenant: TenantId) -> Frame {
-    Frame::new(kind::TENANT_OPENED, tenant.0, corr, Vec::new())
-}
-
-/// The tenant-closed acknowledgement, carrying the session's counters.
-pub fn tenant_closed_frame(corr: u64, tenant: TenantId, stats: &SessionStats) -> Frame {
-    Frame::new(
-        kind::TENANT_CLOSED,
-        tenant.0,
-        corr,
-        json_bytes(&tenant_closed_body(stats)),
-    )
-}
-
-/// Encodes a reply into its frame.
-pub fn reply_frame(corr: u64, tenant: u64, reply: &Reply) -> Frame {
-    let (kind, body) = reply_body(reply);
-    Frame::new(
-        kind,
-        tenant,
-        corr,
-        body.as_ref().map(json_bytes).unwrap_or_default(),
-    )
-}
-
-/// Encodes an error frame.
-pub fn error_frame(corr: u64, tenant: u64, err: &WireError) -> Frame {
-    Frame::new(kind::ERROR, tenant, corr, json_bytes(&err.to_value()))
-}
-
-/// The canonical wire JSON of a reply — what t13's byte-identity check
-/// compares between a loopback answer and an in-process one.
-pub fn reply_json(reply: &Reply) -> String {
-    String::from_utf8(reply_frame(0, 0, reply).payload).expect("wire JSON is UTF-8")
-}
-
-/// Decodes a client→server frame. The version byte must already have been
-/// checked by the caller (so a version mismatch can echo the correlation
-/// id without attempting to parse a future payload layout).
-pub fn decode_request(frame: &Frame) -> Result<NetRequest, WireError> {
-    decode_request_parts(frame.kind, frame.tenant, &frame.payload)
-}
-
-/// [`decode_request`] on borrowed parts — lets the reactor decode straight
-/// out of a connection's reassembly buffer (a [`FrameRef`]) without first
-/// copying the payload into an owned [`Frame`].
+/// Decodes a client→server frame from its header parts and borrowed
+/// payload (the reactor decodes straight out of a connection's
+/// reassembly buffer, a [`FrameRef`]). The version byte must already have
+/// been checked by the caller, so a version mismatch can echo the
+/// correlation id without attempting to parse a future payload layout.
 pub fn decode_request_parts(
     kind_: u8,
     tenant: u64,
     payload: &[u8],
 ) -> Result<NetRequest, WireError> {
-    match kind_ {
-        kind::HELLO => Ok(NetRequest::Hello),
-        kind::SOLVE => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+    let tenant = TenantId(tenant);
+    // The kind picks a field reader first: empty-body kinds answer, and
+    // unknown kinds refuse, before any payload parse.
+    let read: fn(Fields<'_>, TenantId) -> Result<NetRequest, WireError> = match kind_ {
+        kind::HELLO => return Ok(NetRequest::Hello),
+        kind::CLOSE_TENANT => return Ok(NetRequest::CloseTenant(tenant)),
+        kind::SOLVE => |m, _| {
             Ok(NetRequest::Submit(Request::solve_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
-                field::<Lambda>(m, "lambda")?,
+                Arc::new(field(m, "tree")?),
+                Arc::new(field(m, "costs")?),
+                field(m, "lambda")?,
             )))
-        }
-        kind::SOLVE_BY_ID => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::SOLVE_BY_ID => |m, _| {
             Ok(NetRequest::Submit(Request::solve_by_id(
-                InstanceId::from_raw(field::<u64>(m, "id")?),
-                field::<Lambda>(m, "lambda")?,
+                InstanceId::from_raw(field(m, "id")?),
+                field(m, "lambda")?,
             )))
-        }
-        kind::FRONTIER => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::FRONTIER => |m, _| {
             Ok(NetRequest::Submit(Request::frontier_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
+                Arc::new(field(m, "tree")?),
+                Arc::new(field(m, "costs")?),
             )))
-        }
-        kind::FRONTIER_BY_ID => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::FRONTIER_BY_ID => |m, _| {
             Ok(NetRequest::Submit(Request::frontier_by_id(
-                InstanceId::from_raw(field::<u64>(m, "id")?),
+                InstanceId::from_raw(field(m, "id")?),
             )))
-        }
-        kind::DELTA => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::DELTA => |m, tenant| {
             Ok(NetRequest::Submit(Request::delta_arc(
-                TenantId(tenant),
-                Arc::new(field::<Delta>(m, "delta")?),
-                field::<Lambda>(m, "lambda")?,
+                tenant,
+                Arc::new(field(m, "delta")?),
+                field(m, "lambda")?,
             )))
-        }
-        kind::SOLVE_ANYTIME => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::SOLVE_ANYTIME => |m, _| {
             Ok(NetRequest::Submit(Request::solve_anytime_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
-                field::<Lambda>(m, "lambda")?,
-                field::<u64>(m, "budget_ms")?,
+                Arc::new(field(m, "tree")?),
+                Arc::new(field(m, "costs")?),
+                field(m, "lambda")?,
+                field(m, "budget_ms")?,
             )))
-        }
-        kind::OPEN_TENANT => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::OPEN_TENANT => |m, tenant| {
             Ok(NetRequest::OpenTenant(
-                TenantId(tenant),
-                field::<CruTree>(m, "tree")?,
-                field::<CostModel>(m, "costs")?,
+                tenant,
+                field(m, "tree")?,
+                field(m, "costs")?,
             ))
-        }
-        kind::CLOSE_TENANT => Ok(NetRequest::CloseTenant(TenantId(tenant))),
-        k => Err(WireError::UnknownKind(k)),
-    }
+        },
+        k => return Err(WireError::UnknownKind(k)),
+    };
+    let v = body(payload)?;
+    read(as_map(&v)?, tenant)
 }
 
 /// Decodes a server→client frame.
 pub fn decode_server_frame(frame: &Frame) -> Result<NetReply, WireError> {
-    match frame.kind {
-        kind::HELLO_ACK => {
+    // As for requests: the kind picks the reader before any payload parse.
+    let read: fn(Fields<'_>) -> Result<NetReply, WireError> = match frame.kind {
+        kind::TENANT_OPENED => return Ok(NetReply::TenantOpened),
+        kind::ERROR => {
             let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::HelloAck(field::<u64>(m, "max_frame_len")?))
+            let err = WireError::from_value(&v).map_err(|e| WireError::Malformed(e.to_string()))?;
+            return Ok(NetReply::Error(err));
         }
-        kind::SOLUTION => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
+        kind::HELLO_ACK => |m| Ok(NetReply::HelloAck(field(m, "max_frame_len")?)),
+        kind::SOLUTION => |m| {
             Ok(NetReply::Reply(Reply::Solution {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
+                id: InstanceId::from_raw(field(m, "id")?),
                 solution: field(m, "solution")?,
             }))
-        }
-        kind::FRONTIER_REPLY => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::FRONTIER_REPLY => |m| {
             Ok(NetReply::Reply(Reply::Frontier {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
+                id: InstanceId::from_raw(field(m, "id")?),
                 frontier: field(m, "frontier")?,
             }))
-        }
-        kind::APPLIED => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::APPLIED => |m| {
             Ok(NetReply::Reply(Reply::Applied {
                 outcome: field(m, "outcome")?,
                 solution: field(m, "solution")?,
             }))
-        }
-        kind::ANYTIME => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
+        },
+        kind::ANYTIME => |m| {
             Ok(NetReply::Reply(Reply::Anytime {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
+                id: InstanceId::from_raw(field(m, "id")?),
                 answer: field(m, "answer")?,
             }))
-        }
-        kind::TENANT_OPENED => Ok(NetReply::TenantOpened),
-        kind::TENANT_CLOSED => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::TenantClosed(field(m, "stats")?))
-        }
-        kind::ERROR => {
-            let v = body(&frame.payload)?;
-            let err = WireError::from_value(&v).map_err(|e| WireError::Malformed(e.to_string()))?;
-            Ok(NetReply::Error(err))
-        }
-        k => Err(WireError::UnknownKind(k)),
-    }
+        },
+        kind::TENANT_CLOSED => |m| Ok(NetReply::TenantClosed(field(m, "stats")?)),
+        k => return Err(WireError::UnknownKind(k)),
+    };
+    let v = body(&frame.payload)?;
+    read(as_map(&v)?)
 }
 
 #[cfg(test)]
@@ -933,16 +731,54 @@ mod tests {
     use super::*;
     use hsa_graph::Lambda;
 
-    fn sample_frames() -> Vec<Frame> {
+    /// Six frames, each encoded on its own.
+    fn sample_frames() -> Vec<Vec<u8>> {
         let sc = hsa_workloads::paper_scenario();
-        vec![
-            hello_frame(1),
-            hello_ack_frame(1, DEFAULT_MAX_FRAME_LEN),
-            request_frame(2, &Request::solve(&sc.tree, &sc.costs, Lambda::HALF)),
-            request_frame(3, &Request::frontier(&sc.tree, &sc.costs)),
-            error_frame(4, 9, &WireError::Quota(9)),
-            tenant_opened_frame(5, TenantId(9)),
-        ]
+        let mut enc = FrameEncoder::new();
+        let mut frames = vec![Vec::new(); 6];
+        enc.put_hello(&mut frames[0], 1);
+        enc.put_hello_ack(&mut frames[1], 1, DEFAULT_MAX_FRAME_LEN);
+        let solve = Request::solve(&sc.tree, &sc.costs, Lambda::HALF);
+        enc.put_request(&mut frames[2], 2, &solve);
+        enc.put_request(&mut frames[3], 3, &Request::frontier(&sc.tree, &sc.costs));
+        enc.put_error(&mut frames[4], 4, 9, &WireError::Quota(9));
+        enc.put_tenant_opened(&mut frames[5], 5, TenantId(9));
+        frames
+    }
+
+    /// A decoded frame printed back to bytes.
+    fn reencode(f: &FrameRef<'_>) -> Vec<u8> {
+        assert_eq!(f.version, PROTOCOL_VERSION);
+        let mut out = Vec::new();
+        put_raw_frame(&mut out, f.kind, f.tenant, f.corr, f.payload);
+        out
+    }
+
+    /// The frozen header, pinned byte for byte: big-endian length prefix,
+    /// then version, kind, tenant and corr, then the payload.
+    #[test]
+    fn header_layout_is_frozen() {
+        let mut out = Vec::new();
+        FrameEncoder::new().put_close_tenant(
+            &mut out,
+            0x0102_0304_0506_0708,
+            TenantId(0x1112_1314_1516_1718),
+        );
+        put_raw_frame(&mut out, 0xAB, 7, 9, b"{}");
+        #[rustfmt::skip]
+        let golden = [
+            0, 0, 0, 18,
+            PROTOCOL_VERSION, kind::CLOSE_TENANT,
+            0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18,
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+            0, 0, 0, 20,
+            PROTOCOL_VERSION, 0xAB,
+            0, 0, 0, 0, 0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 9,
+            b'{', b'}',
+        ];
+        assert_eq!(PROTOCOL_VERSION, 1);
+        assert_eq!(out, golden);
     }
 
     /// Reassembly is fragmentation-blind: feeding the same byte stream
@@ -950,22 +786,19 @@ mod tests {
     #[test]
     fn decoder_reassembles_byte_at_a_time() {
         let frames = sample_frames();
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.encode().to_vec()).collect();
+        let stream = frames.concat();
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         for byte in stream {
             dec.push(&[byte]);
             while let Some(d) = dec.next(DEFAULT_MAX_FRAME_LEN) {
                 match d {
-                    Decoded::Frame(f) => got.push(f.to_frame()),
+                    Decoded::Frame(f) => got.push(reencode(&f)),
                     other => panic!("unexpected decode: {other:?}"),
                 }
             }
         }
-        assert_eq!(got.len(), frames.len());
-        for (g, f) in got.iter().zip(&frames) {
-            assert_eq!(g.encode(), f.encode());
-        }
+        assert_eq!(got, frames);
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -974,8 +807,8 @@ mod tests {
     #[test]
     fn decoder_survives_all_split_points() {
         let frames = sample_frames();
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.encode().to_vec()).collect();
-        let cut_range = frames[0].encode().len() + frames[1].encode().len();
+        let stream = frames.concat();
+        let cut_range = frames[0].len() + frames[1].len();
         for cut in 0..=cut_range {
             let mut dec = FrameDecoder::new();
             let mut got = 0usize;
@@ -1005,7 +838,8 @@ mod tests {
     /// markers, even arriving after valid frames on the same stream.
     #[test]
     fn decoder_flags_bad_prefixes() {
-        let good = hello_frame(1).encode();
+        let mut good = Vec::new();
+        FrameEncoder::new().put_hello(&mut good, 1);
 
         let mut dec = FrameDecoder::new();
         dec.push(&good);
@@ -1031,42 +865,5 @@ mod tests {
             dec.next(DEFAULT_MAX_FRAME_LEN),
             Some(Decoded::Undersized(_))
         ));
-    }
-
-    /// The buffer-reusing encoder and the allocating `Frame` path are
-    /// byte-identical for every frame constructor — the invariant the
-    /// byte-identity acceptance checks lean on.
-    #[test]
-    fn encoder_matches_frame_encode_bytes() {
-        let sc = hsa_workloads::paper_scenario();
-        let req = Request::solve(&sc.tree, &sc.costs, Lambda::HALF);
-        let stats = SessionStats::default();
-        let mut enc = FrameEncoder::new();
-        let mut out = Vec::new();
-
-        let mut legacy: Vec<u8> = Vec::new();
-        for bytes in [
-            request_frame(7, &req).encode(),
-            hello_frame(8).encode(),
-            hello_ack_frame(8, 12345).encode(),
-            error_frame(9, 3, &WireError::ConnLimit(64)).encode(),
-            open_tenant_frame(10, TenantId(3), &sc.tree, &sc.costs).encode(),
-            close_tenant_frame(11, TenantId(3)).encode(),
-            tenant_opened_frame(12, TenantId(3)).encode(),
-            tenant_closed_frame(13, TenantId(3), &stats).encode(),
-        ] {
-            legacy.extend_from_slice(&bytes);
-        }
-
-        enc.put_request(&mut out, 7, &req);
-        enc.put_hello(&mut out, 8);
-        enc.put_hello_ack(&mut out, 8, 12345);
-        enc.put_error(&mut out, 9, 3, &WireError::ConnLimit(64));
-        enc.put_open_tenant(&mut out, 10, TenantId(3), &sc.tree, &sc.costs);
-        enc.put_close_tenant(&mut out, 11, TenantId(3));
-        enc.put_tenant_opened(&mut out, 12, TenantId(3));
-        enc.put_tenant_closed(&mut out, 13, TenantId(3), &stats);
-
-        assert_eq!(out, legacy);
     }
 }

@@ -3,7 +3,7 @@
 //! quotas, graceful shutdown draining every accepted ticket, and
 //! reconnect resuming id-addressed requests via the raw instance id.
 
-use hsa_engine::net::wire::{self, WireError};
+use hsa_engine::net::wire::{self, FrameEncoder, WireError};
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig, TenantId};
 use hsa_graph::{Cost, Lambda};
@@ -156,12 +156,15 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     // Bad version byte: refused under its own correlation id, connection
     // stays up (the header layout is version-stable).
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let mut bad_version = wire::request_frame(
+    let mut enc = FrameEncoder::new();
+    let mut bad_version = Vec::new();
+    enc.put_request(
+        &mut bad_version,
         99,
         &Request::solve_by_id(hsa_engine::InstanceId::from_raw(1), Lambda::HALF),
     );
-    bad_version.version = 77;
-    client.send_raw(&bad_version.encode()).unwrap();
+    bad_version[4] = 77; // the version byte, right after the length prefix
+    client.send_raw(&bad_version).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!(frame.kind, wire::kind::ERROR);
     assert_eq!(frame.corr, 99, "version refusals echo the correlation id");
@@ -174,14 +177,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     );
 
     // Unknown kind byte.
-    let unknown_kind = wire::Frame {
-        version: wire::PROTOCOL_VERSION,
-        kind: 0x6F,
-        tenant: 0,
-        corr: 123,
-        payload: b"{}".to_vec(),
-    };
-    client.send_raw(&unknown_kind.encode()).unwrap();
+    let mut unknown_kind = Vec::new();
+    wire::put_raw_frame(&mut unknown_kind, 0x6F, 0, 123, b"{}");
+    client.send_raw(&unknown_kind).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!(frame.kind, wire::kind::ERROR);
     assert_eq!(frame.corr, 123);
@@ -191,14 +189,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     assert_eq!(err, WireError::UnknownKind(0x6F));
 
     // Garbage payload under a valid kind.
-    let garbage = wire::Frame {
-        version: wire::PROTOCOL_VERSION,
-        kind: wire::kind::SOLVE,
-        tenant: 0,
-        corr: 7,
-        payload: b"not json at all".to_vec(),
-    };
-    client.send_raw(&garbage.encode()).unwrap();
+    let mut garbage = Vec::new();
+    wire::put_raw_frame(&mut garbage, wire::kind::SOLVE, 0, 7, b"not json at all");
+    client.send_raw(&garbage).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!((frame.kind, frame.corr), (wire::kind::ERROR, 7));
     assert!(matches!(
@@ -238,8 +231,12 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     // A frame truncated mid-payload (client hangs up): the server drops
     // the connection without wedging — new connections still answer.
     let mut truncated = Client::connect(server.local_addr()).unwrap();
-    let frame = wire::request_frame(1, &Request::solve(&sc.tree, &sc.costs, Lambda::HALF));
-    let bytes = frame.encode();
+    let mut bytes = Vec::new();
+    enc.put_request(
+        &mut bytes,
+        1,
+        &Request::solve(&sc.tree, &sc.costs, Lambda::HALF),
+    );
     truncated.send_raw(&bytes[..bytes.len() / 2]).unwrap();
     drop(truncated);
     let mut fresh = Client::connect(server.local_addr()).unwrap();

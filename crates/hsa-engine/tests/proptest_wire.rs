@@ -1,19 +1,23 @@
 //! Property coverage of the wire codec (DESIGN.md §13).
 //!
-//! * **Round trip**: every [`Request`] and [`Reply`] variant survives
-//!   encode → frame parse → decode → re-encode with byte-identical
-//!   frames. Replies are real service answers (verify mode on), not
-//!   hand-built values, so the payload schema is exercised at full depth
-//!   — cuts, assignments, delay reports, frontier envelopes with exact
-//!   rational breakpoints, session outcomes.
+//! * **Round trip**: every [`Request`] and [`Reply`] variant, and every
+//!   control frame (handshake, tenant open/close and their answers, every
+//!   error body), survives [`FrameEncoder`] → [`FrameDecoder`] → decode →
+//!   re-encode with byte-identical frames. Replies are real service
+//!   answers (verify mode on), not hand-built values, so the payload
+//!   schema is exercised at full depth — cuts, assignments, delay
+//!   reports, frontier envelopes with exact rational breakpoints, session
+//!   outcomes, anytime answers with their gap certificates.
 //! * **Robustness**: arbitrary garbage bytes never panic or hang the
-//!   frame reader, and arbitrary headers/payloads never panic the
-//!   decoders — malformed input always surfaces as a typed
+//!   frame decoder, and arbitrary headers/payloads never panic the
+//!   payload decoders — malformed input always surfaces as a typed
 //!   [`WireError`].
 //!
 //! Green under `PROPTEST_SEED` 1–3 (and the default stream).
 
-use hsa_engine::net::wire::{self, NetReply, NetRequest, ReadFrame, WireError};
+use hsa_engine::net::wire::{
+    self, Decoded, Frame, FrameDecoder, FrameEncoder, NetReply, NetRequest, WireError,
+};
 use hsa_engine::{Engine, EngineConfig, Reply, Request, Service, ServiceConfig, TenantId};
 use hsa_graph::{Cost, Lambda};
 use hsa_tree::{CruId, Delta};
@@ -33,65 +37,127 @@ fn small_instance(seed: u64) -> (hsa_tree::CruTree, hsa_tree::CostModel) {
     )
 }
 
+fn fail(what: &str) -> impl FnOnce(WireError) -> TestCaseError + '_ {
+    move |e| TestCaseError::fail(format!("{what}: {e}"))
+}
+
+/// Parses `bytes` as exactly one frame through the decoder. The byte
+/// layer must be lossless: the decoded header and payload print back to
+/// the very same bytes.
+fn parse_one(bytes: &[u8]) -> Result<Frame, TestCaseError> {
+    let mut dec = FrameDecoder::new();
+    dec.push(bytes);
+    let frame = match dec.next(wire::DEFAULT_MAX_FRAME_LEN) {
+        Some(Decoded::Frame(f)) => f.to_frame(),
+        other => {
+            return Err(TestCaseError::fail(format!(
+                "encoded frame did not parse: {other:?}"
+            )))
+        }
+    };
+    prop_assert_eq!(dec.buffered(), 0, "a frame must consume exactly its bytes");
+    prop_assert_eq!(frame.version, wire::PROTOCOL_VERSION);
+    let mut again = Vec::new();
+    wire::put_raw_frame(
+        &mut again,
+        frame.kind,
+        frame.tenant,
+        frame.corr,
+        &frame.payload,
+    );
+    prop_assert_eq!(&again[..], bytes, "frame changed across the byte layer");
+    Ok(frame)
+}
+
+/// Decodes a client→server frame and prints it back with the encoder.
+fn reencode_request(frame: &Frame) -> Result<Vec<u8>, TestCaseError> {
+    let decoded = wire::decode_request_parts(frame.kind, frame.tenant, &frame.payload)
+        .map_err(fail("request decode failed"))?;
+    let (mut enc, mut out) = (FrameEncoder::new(), Vec::new());
+    match decoded {
+        NetRequest::Hello => enc.put_hello(&mut out, frame.corr),
+        NetRequest::Submit(req) => enc.put_request(&mut out, frame.corr, &req),
+        NetRequest::OpenTenant(tenant, tree, costs) => {
+            enc.put_open_tenant(&mut out, frame.corr, tenant, &tree, &costs)
+        }
+        NetRequest::CloseTenant(tenant) => enc.put_close_tenant(&mut out, frame.corr, tenant),
+    }
+    Ok(out)
+}
+
+/// Decodes a server→client frame and prints it back with the encoder.
+fn reencode_server(frame: &Frame) -> Result<Vec<u8>, TestCaseError> {
+    let decoded = wire::decode_server_frame(frame).map_err(fail("server decode failed"))?;
+    let (corr, tenant) = (frame.corr, frame.tenant);
+    let (mut enc, mut out) = (FrameEncoder::new(), Vec::new());
+    match decoded {
+        NetReply::HelloAck(cap) => enc.put_hello_ack(&mut out, corr, usize::try_from(cap).unwrap()),
+        NetReply::Reply(reply) => {
+            enc.put_reply(&mut out, corr, tenant, &reply);
+        }
+        NetReply::TenantOpened => enc.put_tenant_opened(&mut out, corr, TenantId(tenant)),
+        NetReply::TenantClosed(stats) => {
+            enc.put_tenant_closed(&mut out, corr, TenantId(tenant), &stats)
+        }
+        NetReply::Error(err) => enc.put_error(&mut out, corr, tenant, &err),
+    }
+    Ok(out)
+}
+
 /// encode → wire bytes → parse → decode → re-encode must reproduce the
 /// frame byte-for-byte (the codec is canonical on its own output).
-fn roundtrip_request(req: &Request, corr: u64) -> Result<(), TestCaseError> {
-    let frame = wire::request_frame(corr, req);
-    let bytes = frame.encode();
-    let mut r = &bytes[..];
-    let ReadFrame::Frame(parsed) =
-        wire::read_frame(&mut r, wire::DEFAULT_MAX_FRAME_LEN).expect("in-memory read cannot fail")
-    else {
-        return Err(TestCaseError::fail("encoded frame did not parse"));
-    };
-    prop_assert_eq!(&parsed, &frame, "frame changed across the byte layer");
-    let NetRequest::Submit(decoded) = wire::decode_request(&parsed)
-        .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?
-    else {
-        return Err(TestCaseError::fail("request decoded as a control frame"));
-    };
-    let reencoded = wire::request_frame(corr, &decoded).encode();
+fn roundtrip(
+    bytes: &[u8],
+    reencode: fn(&Frame) -> Result<Vec<u8>, TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let frame = parse_one(bytes)?;
+    let again = reencode(&frame)?;
     prop_assert_eq!(
-        reencoded.as_ref(),
-        bytes.as_ref(),
-        "request round trip is not byte-identical"
+        &again[..],
+        bytes,
+        "kind {:#04x} round trip is not byte-identical",
+        frame.kind
     );
     Ok(())
 }
 
-fn roundtrip_reply(reply: &Reply, corr: u64, tenant: u64) -> Result<(), TestCaseError> {
-    let frame = wire::reply_frame(corr, tenant, reply);
-    let bytes = frame.encode();
-    let mut r = &bytes[..];
-    let ReadFrame::Frame(parsed) =
-        wire::read_frame(&mut r, wire::DEFAULT_MAX_FRAME_LEN).expect("in-memory read cannot fail")
-    else {
-        return Err(TestCaseError::fail("encoded frame did not parse"));
-    };
-    let NetReply::Reply(decoded) = wire::decode_server_frame(&parsed)
-        .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?
-    else {
-        return Err(TestCaseError::fail("reply decoded as a control frame"));
-    };
-    let reencoded = wire::reply_frame(corr, tenant, &decoded).encode();
-    prop_assert_eq!(
-        reencoded.as_ref(),
-        bytes.as_ref(),
-        "reply round trip is not byte-identical"
+fn roundtrip_request(req: &Request, corr: u64) -> Result<(), TestCaseError> {
+    let mut bytes = Vec::new();
+    FrameEncoder::new().put_request(&mut bytes, corr, req);
+    let frame = parse_one(&bytes)?;
+    let decoded = wire::decode_request_parts(frame.kind, frame.tenant, &frame.payload)
+        .map_err(fail("decode failed"))?;
+    prop_assert!(
+        matches!(decoded, NetRequest::Submit(_)),
+        "request decoded as a control frame"
     );
-    Ok(())
+    roundtrip(&bytes, reencode_request)
+}
+
+fn roundtrip_reply(reply: &Reply, corr: u64, tenant: u64) -> Result<(), TestCaseError> {
+    let mut bytes = Vec::new();
+    FrameEncoder::new().put_reply(&mut bytes, corr, tenant, reply);
+    let frame = parse_one(&bytes)?;
+    let decoded = wire::decode_server_frame(&frame).map_err(fail("decode failed"))?;
+    prop_assert!(
+        matches!(decoded, NetReply::Reply(_)),
+        "reply decoded as a control frame"
+    );
+    roundtrip(&bytes, reencode_server)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every request variant round-trips byte-identically.
+    /// Every request variant, and every client→server control frame,
+    /// round-trips byte-identically.
     #[test]
     fn every_request_variant_roundtrips(
         seed in 0u64..500,
         corr in 0u64..u64::MAX,
         raw_id in 0u64..u64::MAX,
         lam in 0u32..=8,
+        budget_ms in 0u64..10_000,
     ) {
         let (tree, costs) = small_instance(seed);
         let lambda = Lambda::new(lam, 8).unwrap();
@@ -103,15 +169,26 @@ proptest! {
             Request::frontier(&tree, &costs),
             Request::frontier_by_id(id),
             Request::delta(TenantId(seed), delta, lambda),
+            Request::solve_anytime(&tree, &costs, lambda, budget_ms),
         ];
         for req in &requests {
             roundtrip_request(req, corr)?;
         }
+
+        let mut enc = FrameEncoder::new();
+        let mut control = vec![Vec::new(); 3];
+        enc.put_hello(&mut control[0], corr);
+        enc.put_open_tenant(&mut control[1], corr, TenantId(seed), &tree, &costs);
+        enc.put_close_tenant(&mut control[2], corr, TenantId(seed));
+        for bytes in &control {
+            roundtrip(bytes, reencode_request)?;
+        }
     }
 
     /// Every reply variant — produced by a real verify-mode service, so
-    /// the payloads carry full solutions and frontiers — round-trips
-    /// byte-identically.
+    /// the payloads carry full solutions, frontiers and anytime
+    /// certificates — round-trips byte-identically, and so does every
+    /// server→client control frame and error body.
     #[test]
     fn every_reply_variant_roundtrips(
         seed in 0u64..500,
@@ -133,29 +210,94 @@ proptest! {
             service.submit(Request::solve(&tree, &costs, lambda)).wait().unwrap(),
             service.submit(Request::frontier(&tree, &costs)).wait().unwrap(),
             service.submit(Request::delta(tenant, delta, lambda)).wait().unwrap(),
+            service
+                .submit(Request::solve_anytime(&tree, &costs, lambda, 1_000))
+                .wait()
+                .unwrap(),
         ];
+        prop_assert!(matches!(replies[3], Reply::Anytime { .. }));
         for reply in &replies {
             roundtrip_reply(reply, corr, tenant.0)?;
         }
+
+        let stats = service.close_tenant(tenant).unwrap();
+        let refused = service
+            .submit(Request::delta(tenant, Delta::new(), lambda))
+            .wait()
+            .expect_err("a closed tenant refuses deltas");
+        let errors = [
+            WireError::from(&refused),
+            WireError::UnsupportedVersion(lam as u8, wire::PROTOCOL_VERSION),
+            WireError::UnknownKind(seed as u8),
+            WireError::Oversized(corr, seed),
+            WireError::Malformed(format!("bad \"payload\"\n#{seed} – ü")),
+            WireError::Quota(tenant.0),
+            WireError::ConnLimit(seed),
+        ];
+        let mut enc = FrameEncoder::new();
+        let mut control = vec![Vec::new(); 3];
+        enc.put_hello_ack(&mut control[0], corr, usize::try_from(corr >> 16).unwrap());
+        enc.put_tenant_opened(&mut control[1], corr, tenant);
+        enc.put_tenant_closed(&mut control[2], corr, tenant, &stats);
+        for err in &errors {
+            let mut frame = Vec::new();
+            enc.put_error(&mut frame, corr, tenant.0, err);
+            control.push(frame);
+        }
+        for bytes in &control {
+            roundtrip(bytes, reencode_server)?;
+        }
     }
 
-    /// Arbitrary bytes: the frame reader terminates without panicking,
-    /// and whatever frame it produces decodes to a value or a typed
-    /// error — never a panic.
+    /// Arbitrary bytes: the frame decoder stops within a bounded number
+    /// of steps without panicking, each outcome is the typed one its
+    /// prefix calls for, every byte is either consumed as a frame or still
+    /// buffered, and whatever frame it produces decodes to a value or a
+    /// typed error — never a panic.
     #[test]
     fn garbage_never_panics_the_codec(
         bytes in proptest::collection::vec(0u8..=255, 256),
         len in 0usize..=256,
     ) {
-        let mut r = &bytes[..len];
-        match wire::read_frame(&mut r, 4096) {
-            Ok(ReadFrame::Frame(frame)) => {
-                let _ = wire::decode_request(&frame);
-                let _ = wire::decode_server_frame(&frame);
+        const MAX: usize = 4096;
+        let mut dec = FrameDecoder::new();
+        dec.push(&bytes[..len]);
+        let mut consumed = 0usize;
+        let mut stopped = false;
+        // Every frame consumes at least a prefix and a header, which
+        // bounds how many steps a terminating decoder can take.
+        for _ in 0..=len / (4 + wire::HEADER_LEN) {
+            match dec.next(MAX) {
+                Some(Decoded::Frame(f)) => {
+                    consumed += 4 + wire::HEADER_LEN + f.payload.len();
+                    let frame = f.to_frame();
+                    if let Err(e) =
+                        wire::decode_request_parts(frame.kind, frame.tenant, &frame.payload)
+                    {
+                        prop_assert!(matches!(e, WireError::UnknownKind(_) | WireError::Malformed(_)));
+                    }
+                    if let Err(e) = wire::decode_server_frame(&frame) {
+                        prop_assert!(matches!(e, WireError::UnknownKind(_) | WireError::Malformed(_)));
+                    }
+                }
+                Some(Decoded::Oversized(n)) => {
+                    prop_assert!(n as usize > MAX);
+                    stopped = true;
+                    break;
+                }
+                Some(Decoded::Undersized(n)) => {
+                    prop_assert!((n as usize) < wire::HEADER_LEN);
+                    stopped = true;
+                    break;
+                }
+                None => {
+                    stopped = true;
+                    break;
+                }
             }
-            Ok(ReadFrame::Eof | ReadFrame::Oversized(..) | ReadFrame::Undersized(..)) => {}
-            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         }
+        prop_assert!(stopped, "the decoder kept producing frames past its input");
+        prop_assert_eq!(consumed + dec.buffered(), len);
     }
 
     /// Incremental reassembly is fragmentation-blind: a frame stream cut
@@ -171,22 +313,19 @@ proptest! {
     ) {
         let (tree, costs) = small_instance(seed);
         let lambda = Lambda::new(lam, 8).unwrap();
-        let frames = [
-            wire::hello_frame(1),
-            wire::request_frame(2, &Request::solve(&tree, &costs, lambda)),
-            wire::request_frame(3, &Request::frontier(&tree, &costs)),
-            wire::error_frame(4, 7, &WireError::Quota(7)),
-        ];
-        let mut stream: Vec<u8> = Vec::new();
-        for frame in &frames {
-            stream.extend_from_slice(&frame.encode());
-        }
+        let mut enc = FrameEncoder::new();
+        let mut frames = vec![Vec::new(); 4];
+        enc.put_hello(&mut frames[0], 1);
+        enc.put_request(&mut frames[1], 2, &Request::solve(&tree, &costs, lambda));
+        enc.put_request(&mut frames[2], 3, &Request::frontier(&tree, &costs));
+        enc.put_error(&mut frames[3], 4, 7, &WireError::Quota(7));
+        let stream = frames.concat();
         // Drop up to `truncate` tail bytes: the last frame may arrive cut.
         let cut_off = truncate.min(stream.len() - 1);
         let fed = &stream[..stream.len() - cut_off];
 
-        let mut dec = wire::FrameDecoder::new();
-        let mut got = Vec::new();
+        let mut dec = FrameDecoder::new();
+        let mut got: Vec<Vec<u8>> = Vec::new();
         let mut pos = 0usize;
         let mut cut_iter = cuts.iter().copied().chain(std::iter::repeat(17));
         while pos < fed.len() {
@@ -195,7 +334,11 @@ proptest! {
             pos += step;
             while let Some(d) = dec.next(wire::DEFAULT_MAX_FRAME_LEN) {
                 match d {
-                    wire::Decoded::Frame(f) => got.push(f.to_frame()),
+                    Decoded::Frame(f) => {
+                        let mut out = Vec::new();
+                        wire::put_raw_frame(&mut out, f.kind, f.tenant, f.corr, f.payload);
+                        got.push(out);
+                    }
                     other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
                 }
             }
@@ -203,11 +346,10 @@ proptest! {
         let whole = if cut_off == 0 { frames.len() } else { frames.len() - 1 };
         prop_assert!(got.len() >= whole, "lost complete frames to fragmentation");
         for (g, f) in got.iter().zip(&frames) {
-            let (ge, fe) = (g.encode(), f.encode());
-            prop_assert_eq!(ge.as_ref(), fe.as_ref());
+            prop_assert_eq!(g, f);
         }
         // Whatever was withheld is still buffered, not silently dropped.
-        let consumed: usize = got.iter().map(|f| f.encode().len()).sum();
+        let consumed: usize = got.iter().map(Vec::len).sum();
         prop_assert_eq!(consumed + dec.buffered(), fed.len());
     }
 
@@ -221,14 +363,14 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 48),
         plen in 0usize..=48,
     ) {
-        let frame = wire::Frame {
+        let frame = Frame {
             version: wire::PROTOCOL_VERSION,
             kind,
             tenant,
             corr,
             payload: payload[..plen].to_vec(),
         };
-        if let Err(e) = wire::decode_request(&frame) {
+        if let Err(e) = wire::decode_request_parts(kind, tenant, &frame.payload) {
             prop_assert!(matches!(e, WireError::UnknownKind(_) | WireError::Malformed(_)));
         }
         if let Err(e) = wire::decode_server_frame(&frame) {
