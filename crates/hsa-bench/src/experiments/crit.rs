@@ -419,10 +419,7 @@ pub(super) fn prepare_hot(c: &mut Criterion) {
             },
             4242,
         );
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig::default());
         let id = engine.prepare(&tree, &costs).expect("instance prepares");
         let label = format!("n{n}");
         group.bench_function(format!("prepare_cold/{label}"), |b| {

@@ -870,12 +870,7 @@ fn run_service_stream(
     workers: usize,
     verify: bool,
 ) -> (u64, hsa_engine::EngineStats, hsa_engine::ServiceStats) {
-    // The engine's own pool is bypassed by single-query service solves;
-    // one thread keeps it from idling workers the stream never feeds.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Service::new(
         Arc::clone(&engine),
         ServiceConfig {
@@ -1056,10 +1051,7 @@ pub(super) fn t12(ctx: &ExpCtx) {
     // ops × total-ns, so the gate reads a per-op mean per stage.
     {
         let hot = &stream.instances[0];
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig::default());
         let id = engine
             .prepare(&hot.tree, &hot.costs)
             .expect("hot instance prepares");
@@ -1224,10 +1216,7 @@ fn precompute_stream(
     stream: &RequestStream,
     arcs: &[(Arc<hsa_tree::CruTree>, Arc<hsa_tree::CostModel>)],
 ) -> Vec<PreStep> {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Service::new(
         Arc::clone(&engine),
         ServiceConfig {
@@ -1326,10 +1315,7 @@ fn run_net_stream(
     workers: usize,
     verify: bool,
 ) -> (u64, hsa_engine::ServiceStats, NetStats) {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Arc::new(Service::new(
         Arc::clone(&engine),
         ServiceConfig {

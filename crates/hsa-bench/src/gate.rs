@@ -11,7 +11,9 @@
 //! Comparisons are guarded structurally first: schema versions must match
 //! (enforced by [`BenchReport::load`]) and the workload `profile` must be
 //! identical — a `"quick"` run gated against `"full"` baselines would
-//! compare different workloads and is rejected outright.
+//! compare different workloads and is rejected outright. A baseline
+//! recorded on a different CPU count still compares, with a `note:` line
+//! saying so.
 
 use crate::report::BenchReport;
 use std::fmt::Write as _;
@@ -86,14 +88,17 @@ impl GateFinding {
     }
 }
 
-/// Everything one gate run found: per-metric findings plus structural
-/// errors (unreadable files, profile mismatches, missing artefacts).
+/// Everything one gate run found: per-metric findings, structural errors
+/// (unreadable files, profile mismatches, missing artefacts) and notes.
 #[derive(Clone, Debug, Default)]
 pub struct GateOutcome {
     /// Per-metric comparison rows.
     pub findings: Vec<GateFinding>,
     /// Structural failures — any entry fails the gate.
     pub errors: Vec<String>,
+    /// Caveats on the comparison (a CPU-count mismatch) — printed, never
+    /// failing.
+    pub notes: Vec<String>,
 }
 
 impl GateOutcome {
@@ -148,6 +153,9 @@ impl GateOutcome {
                 pcol(&f.p99),
             );
         }
+        for n in &self.notes {
+            let _ = writeln!(out, "note: {n}");
+        }
         for e in &self.errors {
             let _ = writeln!(out, "error: {e}");
         }
@@ -186,6 +194,12 @@ pub fn compare_reports(
             baseline.name, baseline.env.debug_assertions, current.env.debug_assertions
         ));
         return out;
+    }
+    if baseline.env.cpus != current.env.cpus {
+        out.notes.push(format!(
+            "{}: cpu mismatch — baseline recorded on {} cpu(s), current run on {} (thread-sensitive metrics may shift)",
+            baseline.name, baseline.env.cpus, current.env.cpus
+        ));
     }
     for base in &baseline.metrics {
         match current.find_metric(&base.name) {
@@ -300,6 +314,7 @@ pub fn gate_directories(baseline_dir: &Path, current_dir: &Path, cfg: &GateConfi
                 let one = compare_reports(&baseline, &current, cfg);
                 out.findings.extend(one.findings);
                 out.errors.extend(one.errors);
+                out.notes.extend(one.notes);
             }
             Err(e) => out.errors.push(e),
         }
@@ -460,6 +475,24 @@ mod tests {
         let out = compare_reports(&base, &current, &GateConfig::default());
         assert!(!out.passed());
         assert!(out.errors[0].contains("build mismatch"));
+    }
+
+    #[test]
+    fn cpu_count_mismatch_is_a_note_not_a_failure() {
+        let base = report("quick", &[("a", 1_000)]);
+        let mut current = report("quick", &[("a", 1_000)]);
+        assert!(compare_reports(&base, &current, &GateConfig::default())
+            .notes
+            .is_empty());
+        current.env.cpus = base.env.cpus + 1;
+        let cfg = GateConfig::default();
+        let out = compare_reports(&base, &current, &cfg);
+        assert!(out.passed(), "a cpu mismatch must not fail the gate");
+        assert!(out.errors.is_empty());
+        assert_eq!(out.notes.len(), 1);
+        assert!(out.notes[0].contains("cpu mismatch"));
+        let table = out.render_text(&cfg);
+        assert!(table.contains("note: demo: cpu mismatch") && table.contains("PASS"));
     }
 
     #[test]

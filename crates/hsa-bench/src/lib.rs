@@ -189,13 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, 4, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn sweep_is_deterministic() {
         let a = sweep_instances(&[10, 20], &[Placement::Blocked], 3, 2);
         let b = sweep_instances(&[10, 20], &[Placement::Blocked], 3, 2);

@@ -58,7 +58,7 @@ pub struct EngineThroughput {
     pub instance_sizes: Vec<u64>,
     /// Total `(instance, λ)` queries.
     pub queries: usize,
-    /// Worker threads the engine used.
+    /// Threads the batched arm's `solve_batch` fanned over.
     pub threads: usize,
     /// Naive arm: fresh `Prepared` + fresh solve per query.
     pub naive_ns: u64,
@@ -246,7 +246,10 @@ pub fn engine_throughput(cfg: &ThroughputConfig) -> EngineThroughput {
         instances: instances.len(),
         instance_sizes: instances.iter().map(|(t, _)| t.len() as u64).collect(),
         queries: queries.len(),
-        threads: engine.threads(),
+        // `solve_batch` fans over one thread per core, capped at the batch.
+        threads: std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(queries.len()),
         naive_ns,
         batched_ns,
         naive_lat: naive_hist.snapshot().stats(),

@@ -18,10 +18,9 @@
 //!   cache hit, and every later query reuses the colouring, σ/β labels,
 //!   dual graph and Pareto frontiers without rebuilding anything.
 //! * [`Engine::solve_batch`] fans a slice of `(instance, λ)` queries across
-//!   a **persistent** [`WorkerPool`] (spawned once with the engine, fed
-//!   through a channel, drained gracefully on drop), answering each from
-//!   the cached frontiers **byte-identically** to a fresh
-//!   [`Expanded`](hsa_assign::Expanded)`::solve` — same cut, same
+//!   scoped threads ([`parallel_map`]; the engine itself owns no threads),
+//!   answering each from the cached frontiers **byte-identically** to a
+//!   fresh [`Expanded`](hsa_assign::Expanded)`::solve` — same cut, same
 //!   objective, same stats semantics.
 //! * [`Engine::frontier`] exposes the full **λ-frontier** — the
 //!   piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1] with
@@ -175,9 +174,6 @@ impl From<AssignError> for EngineError {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads of the engine's persistent pool (0, the default,
-    /// means one per available core).
-    pub threads: usize,
     /// Frontier caps for the cached full-expansion preparation.
     pub expanded: ExpandedConfig,
 }
@@ -293,26 +289,19 @@ pub struct Engine {
     cfg: EngineConfig,
     /// RwLock-sharded content-hash → `Arc<CachedInstance>` maps.
     cache: cache::ShardedCache,
-    /// Persistent channel-fed workers for batch fan-out.
-    pool: WorkerPool,
     stats: EngineCounters,
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration, spawning its
-    /// persistent worker pool.
+    /// Creates an empty engine with the given configuration. It spawns
+    /// no threads: batches fan out on scoped threads per call, and the
+    /// [`Service`] and [`Portfolio`] own the persistent pools.
     pub fn new(cfg: EngineConfig) -> Engine {
         Engine {
             cfg,
             cache: cache::ShardedCache::new(),
-            pool: WorkerPool::new(cfg.threads),
             stats: EngineCounters::default(),
         }
-    }
-
-    /// The effective worker-thread count of the persistent pool.
-    pub fn threads(&self) -> usize {
-        self.pool.size()
     }
 
     /// Prepares (or re-finds) an instance and returns its id.
@@ -378,9 +367,10 @@ impl Engine {
             .ok_or(EngineError::UnknownInstance { id })
     }
 
-    /// Answers a batch of `(instance, λ)` queries, fanned across the
-    /// persistent worker pool, each from the instance's cached
-    /// [`FrontierSet`].
+    /// Answers a batch of `(instance, λ)` queries, fanned across one
+    /// scoped thread per available core ([`parallel_map`]), each from the
+    /// instance's cached [`FrontierSet`]. A one-query batch runs on the
+    /// calling thread.
     ///
     /// Results are in query order and **byte-identical** — same
     /// `Solution::objective`, same `Solution::cut` — to calling
@@ -403,12 +393,7 @@ impl Engine {
             solve_with_frontiers(&entry.prepared, &entry.frontiers, lambda)
                 .map_err(EngineError::from)
         };
-        let results = if self.pool.size() <= 1 || items.len() <= 1 {
-            // Nothing to fan out: answer in-line, skipping the channel trip.
-            items.into_iter().map(job).collect()
-        } else {
-            self.pool.run_batch(items, job)
-        };
+        let results = parallel_map(items, 0, job);
         self.record(&results);
         results
     }
@@ -585,10 +570,7 @@ mod tests {
     #[test]
     fn arc_shared_engine_serves_many_threads() {
         let sc = paper_scenario();
-        let engine = Arc::new(Engine::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        }));
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
         let id = engine.prepare(&sc.tree, &sc.costs).unwrap();
         let prep = Prepared::new(&sc.tree, &sc.costs).unwrap();
         let handles: Vec<_> = (0..4u32)

@@ -1,40 +1,25 @@
-//! The persistent worker pool behind the concurrent service stack.
-//!
-//! Earlier revisions spawned a fresh scoped thread crew for every batch
-//! call and funnelled every result through one `Mutex<Vec<Option<R>>>`.
-//! Under a continual request stream that is pure overhead: thread spawn
-//! and teardown per call, plus a lock every worker serialises on. This
-//! module replaces both:
+//! The two ways this crate runs work on other threads.
 //!
 //! * [`WorkerPool`] — N **persistent** workers fed through one shared
-//!   injector channel. Workers live as long as the pool; dropping the
-//!   pool closes the channel, lets the workers drain what was already
-//!   submitted, and joins them (graceful shutdown). A panicking job is
-//!   **isolated**: the worker catches the unwind, counts it
-//!   ([`WorkerPool::panicked_jobs`]) and keeps serving.
-//! * [`WorkerPool::run_batch`] — fan a `Vec` of items across the pool and
-//!   collect results in input order. Each job delivers its result through
-//!   a per-batch mpsc channel (per-slot writes, no shared result lock); a
-//!   panic inside the job function is re-raised on the *calling* thread
-//!   once the batch has drained, so batch semantics match a plain loop.
-//! * [`parallel_map`] — the old entry point, now a thin shim: one
-//!   transient pool per call (same cost as the scoped crew it replaces),
-//!   same in-order results, same panic propagation. Hot paths should hold
-//!   a [`WorkerPool`] (the [`Engine`](crate::Engine) does) instead of
-//!   re-spawning per call.
+//!   injector channel, for request streams: the [`Service`](crate::Service)
+//!   answers requests on one and the [`Portfolio`](crate::Portfolio)
+//!   races its arms on another. Workers live as long as the pool;
+//!   dropping the pool closes the channel, lets the workers drain what
+//!   was already submitted, and joins them (graceful shutdown). A
+//!   panicking job is **isolated**: the worker catches the unwind, counts
+//!   it ([`WorkerPool::panicked_jobs`]) and keeps serving.
+//! * [`parallel_map`] — the one batch fan-out: a `Vec` of items across
+//!   scoped threads that live for one call, results in input order, a
+//!   panic in the job re-raised on the caller. The
+//!   [`Engine`](crate::Engine) batch path and the t1/t2 sweeps use it.
 //!
 //! A `threads` of 1 degrades to a plain in-order loop on the calling
 //! thread — sequential baselines stay honest.
-//!
-//! **Re-entrancy:** `run_batch` blocks the calling thread until the batch
-//! drains. Calling it *from a worker of the same pool* can deadlock once
-//! the pool is saturated (the batch's jobs queue behind their own caller);
-//! submit plain jobs from workers instead.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// A unit of work: owns everything it touches (`'static`), so it can
@@ -101,14 +86,15 @@ pub struct WorkerPool {
 }
 
 /// Resolves a configured thread count: 0 means one worker per available
-/// core.
-pub(crate) fn effective_threads(threads: usize) -> usize {
+/// core. The core count is read once per process: `available_parallelism`
+/// re-reads the cgroup CPU quota on every call, a cost each one-query
+/// `solve_batch` would otherwise pay.
+fn effective_threads(threads: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if threads > 0 {
         threads
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -161,103 +147,22 @@ impl WorkerPool {
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         self.injector.push(Box::new(job));
     }
-
-    /// Fans `items` across the pool, collecting `job`'s results in input
-    /// order. Blocks until the whole batch drained. If any job panicked,
-    /// a panic payload is re-raised here, on the calling thread.
-    ///
-    /// Delivery is **single-slot**: the batch shares one `Arc` carrying
-    /// the job and a slot array; each worker writes its result straight
-    /// into its own pre-assigned slot and decrements a countdown, and the
-    /// last one wakes the caller. Per item that is one `Arc` bump and one
-    /// uncontended slot lock — the previous scheme paid an `Arc` clone of
-    /// the job *plus* an mpsc sender clone per item, and every result took
-    /// a second hop through the channel before the caller re-scattered it
-    /// into an ordered buffer.
-    pub fn run_batch<T, R, F>(&self, items: Vec<T>, job: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            // A one-item batch has no parallelism to exploit; shipping it
-            // to a worker just buys two context switches and a condvar
-            // round-trip. Run it on the calling thread instead — this is
-            // the service's per-request solve path, so the hop matters.
-            let item = items.into_iter().next().expect("n == 1");
-            return vec![job(item)];
-        }
-        let shared = Arc::new(BatchShared {
-            job,
-            slots: (0..n).map(|_| Mutex::new(None)).collect::<Vec<_>>(),
-            remaining: AtomicUsize::new(n),
-            done: Mutex::new(false),
-            all_done: Condvar::new(),
-        });
-        for (i, item) in items.into_iter().enumerate() {
-            let sh = Arc::clone(&shared);
-            self.submit(move || {
-                // Catch here (not only in the worker loop) so the batch
-                // collector learns about the panic instead of hanging on a
-                // result that will never arrive.
-                let out = catch_unwind(AssertUnwindSafe(|| (sh.job)(item)));
-                *sh.slots[i].lock().expect("batch slot poisoned") = Some(out);
-                if sh.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    *sh.done.lock().expect("batch latch poisoned") = true;
-                    sh.all_done.notify_one();
-                }
-            });
-        }
-        let mut done = shared.done.lock().expect("batch latch poisoned");
-        while !*done {
-            done = shared.all_done.wait(done).expect("batch latch poisoned");
-        }
-        drop(done);
-        let mut first_panic = None;
-        let mut out = Vec::with_capacity(n);
-        for slot in &shared.slots {
-            let result = slot
-                .lock()
-                .expect("batch slot poisoned")
-                .take()
-                .expect("all batch slots filled");
-            match result {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        out
-    }
-}
-
-/// The shared state of one `run_batch` call: the job, one result slot per
-/// item (each written by exactly one worker, so its lock is never
-/// contended), and the countdown latch the caller parks on.
-struct BatchShared<R, F> {
-    job: F,
-    slots: Vec<Mutex<Option<std::thread::Result<R>>>>,
-    remaining: AtomicUsize,
-    done: Mutex<bool>,
-    all_done: Condvar,
 }
 
 impl Drop for WorkerPool {
     /// Graceful shutdown: close the injector, let workers drain what was
     /// already accepted, join them all.
+    ///
+    /// A job may hold the last handle to its own pool (a reply callback
+    /// that owns the service, say). That worker cannot join itself: it is
+    /// left to finish the queue and exit on its own.
     fn drop(&mut self) {
         self.injector.close();
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -265,33 +170,71 @@ impl Drop for WorkerPool {
 /// Runs `job` over `items` on `threads` workers, collecting results in
 /// input order.
 ///
-/// A shim over [`WorkerPool::run_batch`] on a transient pool (kept for
-/// one-shot sweeps; services hold a persistent pool instead). A `threads`
-/// of 0 or 1 — or a batch of at most one item — runs as a plain in-order
-/// loop on the calling thread.
+/// A `threads` of 0 means one worker per available core; the count is
+/// capped at `items.len()`. The workers are scoped threads that live for
+/// this call only — the caller is one of them — and claim items through
+/// one shared index, so uneven items balance across whoever is free. A
+/// batch of at most one item, or one thread, runs as a plain in-order
+/// loop on the calling thread. A panic in `job` reaches the caller.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, job: F) -> Vec<R>
 where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
 {
-    let threads = effective_threads(threads.max(1)).min(items.len().max(1));
+    let n = items.len();
+    let threads = effective_threads(threads).min(n);
     if threads <= 1 {
         return items.into_iter().map(job).collect();
     }
-    WorkerPool::new(threads).run_batch(items, job)
+    // One slot per item, each taken by exactly one worker (so its lock is
+    // never contended); `next` hands out the indices.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return done;
+            };
+            let item = slot.lock().expect("batch slot poisoned").take();
+            done.push((i, job(item.expect("each index is claimed once"))));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
         let out = parallel_map(items, 4, |x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        // Uneven jobs finish out of order; the results must not.
+        let out = parallel_map((0..24u64).collect(), 3, |x| {
+            std::thread::sleep(Duration::from_micros((x % 4) * 200));
+            x + 1
+        });
+        assert_eq!(out, (1..=24).collect::<Vec<_>>());
     }
 
     #[test]
@@ -300,18 +243,8 @@ mod tests {
         assert!(out.is_empty());
         let out = parallel_map(vec![5u32, 6], 0, |x| x + 1);
         assert_eq!(out, vec![6, 7]);
-    }
-
-    #[test]
-    fn pool_runs_batches_in_order_and_is_reusable() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.size(), 3);
-        let a = pool.run_batch((0..50u64).collect(), |x| x + 1);
-        assert_eq!(a, (1..=50).collect::<Vec<_>>());
-        // Same workers, second batch — nothing was torn down in between.
-        let b = pool.run_batch((0..10u64).collect(), |x| x * x);
-        assert_eq!(b, (0..10u64).map(|x| x * x).collect::<Vec<_>>());
-        assert_eq!(pool.panicked_jobs(), 0);
+        let out = parallel_map(vec![5u32, 6], 1, |x| x + 1);
+        assert_eq!(out, vec![6, 7]);
     }
 
     #[test]
@@ -319,6 +252,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         {
             let pool = WorkerPool::new(2);
+            assert_eq!(pool.size(), 2);
             for i in 0..20u32 {
                 let tx = tx.clone();
                 pool.submit(move || {
@@ -335,30 +269,56 @@ mod tests {
     }
 
     #[test]
+    fn pool_dropped_by_its_own_worker_shuts_down_cleanly() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let last = Arc::clone(&pool);
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        pool.submit(move || {
+            go_rx.recv().unwrap();
+            drop(last); // the last handle: this worker runs the pool's drop
+            done_tx.send(()).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        // A self-join would panic (EDEADLK) before the send.
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the drop on a worker returns");
+    }
+
+    #[test]
     fn panicking_job_is_isolated_and_counted() {
-        // One worker: the FIFO injector runs the batch behind the
-        // panicking job on the very worker that caught it, so the batch
-        // completing orders the read below after the count — and proves
-        // the panicking worker keeps serving.
+        // One worker: the FIFO injector runs the second job behind the
+        // panicking one on the very worker that caught it, so its reply
+        // orders the read below after the count — and proves the
+        // panicking worker keeps serving.
         let pool = WorkerPool::new(1);
+        assert_eq!(pool.panicked_jobs(), 0);
         pool.submit(|| panic!("boom"));
-        let out = pool.run_batch(vec![1u32, 2, 3], |x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || {
+            let _ = tx.send([1u32, 2, 3].map(|x| x * 10));
+        });
+        assert_eq!(rx.recv().unwrap(), [10, 20, 30]);
         assert_eq!(pool.panicked_jobs(), 1);
     }
 
     #[test]
     fn batch_panic_propagates_to_the_caller() {
-        let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_batch(vec![0u32, 1, 2, 3], |x| {
+        let result = catch_unwind(|| {
+            parallel_map(vec![0u32, 1, 2, 3], 2, |x| {
                 assert!(x != 2, "poisoned item");
                 x
             })
-        }));
-        assert!(result.is_err(), "the job's panic must reach the caller");
-        // And the pool is still serviceable afterwards.
-        let out = pool.run_batch(vec![7u32], |x| x + 1);
+        });
+        let payload = result.expect_err("the job's panic must reach the caller");
+        // The job's own payload, not a generic scoped-thread message.
+        let msg = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("poisoned item"));
+        // And the next batch runs as usual.
+        let out = parallel_map(vec![7u32], 2, |x| x + 1);
         assert_eq!(out, vec![8]);
     }
 }

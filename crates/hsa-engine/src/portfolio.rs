@@ -154,9 +154,10 @@ pub struct AnytimeOutcome {
 #[derive(Clone, Copy, Debug)]
 pub struct PortfolioConfig {
     /// Worker threads of the portfolio's own pool (default 4, one per
-    /// arm). The portfolio deliberately does not borrow the engine's batch
-    /// pool: arms must keep draining even while the engine pool is busy,
-    /// and a racing submit from inside a pool job must never deadlock.
+    /// arm). The portfolio deliberately does not borrow the service's
+    /// pool: arms must keep draining even while the service workers are
+    /// busy, and a race started from inside a service job must never
+    /// queue behind that job.
     pub threads: usize,
     /// Genetic-arm configuration (deterministic per seed).
     pub ga: GaConfig,

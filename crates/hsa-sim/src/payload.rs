@@ -7,7 +7,6 @@
 //! bandwidth/latency, and the resulting per-message transfer times that the
 //! workload generators feed into [`hsa_tree::CostModel`].
 
-use bytes::{BufMut, Bytes, BytesMut};
 use hsa_graph::Cost;
 use serde::{Deserialize, Serialize};
 
@@ -53,10 +52,10 @@ impl LinkProfile {
 /// Builds a synthetic multi-channel sensor frame: `samples` samples of
 /// `channels` × 16-bit values with an 8-byte header — the shape of an ECG
 /// or accelerometer frame in the tele-monitoring scenario.
-pub fn sensor_frame(channels: usize, samples: usize, seq: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + channels * samples * 2);
-    buf.put_u32(0x4652_414D); // "FRAM"
-    buf.put_u32(seq);
+pub fn sensor_frame(channels: usize, samples: usize, seq: u32) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + channels * samples * 2);
+    buf.extend_from_slice(&0x4652_414Du32.to_be_bytes()); // "FRAM"
+    buf.extend_from_slice(&seq.to_be_bytes());
     for i in 0..samples {
         for c in 0..channels {
             // Deterministic pseudo-signal: cheap, reproducible, non-constant.
@@ -64,10 +63,10 @@ pub fn sensor_frame(channels: usize, samples: usize, seq: u32) -> Bytes {
                 .wrapping_mul(2654435761)
                 .wrapping_add(c as u32 * 97)
                 & 0xFFFF) as u16;
-            buf.put_u16(v);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 #[cfg(test)]
